@@ -24,7 +24,7 @@ enum class StatusCode {
   kNotSupported,
   kInternal,
   kRetryExhausted,  // a transient I/O fault persisted past the retry budget
-  kCancelled,       // cooperative cancellation (a sibling partition failed)
+  kCancelled,       // cancelled before completion (shutdown, dropped I/O job)
   kSlackExhausted,  // dynamic insert found no free code slot under the
                     // parent — the caller must re-binarize with more slack
   kUnimplemented,   // the operation is meaningful but not built yet

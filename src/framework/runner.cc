@@ -3,8 +3,6 @@
 #include <optional>
 
 #include "common/timer.h"
-#include "exec/exec_context.h"
-#include "exec/partition_exec.h"
 #include "join/algorithm_registry.h"
 #include "pbitree/simd.h"
 
@@ -22,8 +20,7 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   RunResult result;
   result.algorithm = alg;
 
-  // Per-operation metric scope: everything this run does — on this
-  // thread and on any pool worker executing its tasks — bills to
+  // Per-operation metric scope: everything this run does bills to
   // `registry` and nothing else does, so interleaved operations on the
   // same DiskManager report disjoint I/O (the old global DiskStats
   // delta charged foreign traffic to whoever was being timed). A
@@ -64,19 +61,9 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   obs::MetricsSnapshot before = registry->Snapshot();
   Timer timer;
 
-  // A caller-provided shared context (the serve daemon's pool) is
-  // reused so concurrent runs share one set of workers; otherwise the
-  // run owns a private context sized by options.threads.
-  std::optional<ExecContext> local_exec;
-  ExecContext* exec = options.shared_exec;
-  if (exec == nullptr) {
-    local_exec.emplace(options.threads);
-    exec = &local_exec.value();
-  }
-  JoinContext ctx(bm, options.work_pages, exec);
+  JoinContext ctx(bm, options.work_pages);
   {
-    // The SIMD override is process-global (pool workers executing this
-    // run's partition tasks must see it), so concurrent runs with
+    // The SIMD override is process-global, so concurrent runs with
     // conflicting overrides race benignly: the kernels are exact either
     // way, only the instruction selection differs.
     std::optional<simd::ScopedEnable> simd_scope;
@@ -173,8 +160,7 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
   return RunJoin(alg, bm, a, d, sink, options);
 }
 
-StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
-                                     const SegmentedSet& a,
+StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options) {
   if (a.level != d.level || a.segments.size() != d.segments.size()) {
@@ -227,26 +213,18 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
   obs::MetricsSnapshot before = registry->Snapshot();
   Timer timer;
 
-  // Segment pairs with records on both sides; the rest join empty.
-  std::vector<size_t> active;
+  const int h_cut = a.cut_height();
+  RunOptions seg_opts = options;
+  seg_opts.paths = AccessPaths{};  // store-level indexes don't cover pieces
+
+  // Segment pairs join one after another in segment order; pairs with
+  // an empty side are skipped.
+  JoinStats stats;
   for (size_t k = 0; k < a.segments.size(); ++k) {
     const SegmentedSet::Segment& sa = a.segments[k];
     const SegmentedSet::Segment& sd = d.segments[k];
     if (!sa.set.file.valid() || !sd.set.file.valid()) continue;
     if (sa.set.num_records() == 0 || sd.set.num_records() == 0) continue;
-    active.push_back(k);
-  }
-
-  const int h_cut = a.cut_height();
-  RunOptions seg_opts = options;
-  seg_opts.threads = 1;            // parallelism lives across segments
-  seg_opts.shared_exec = nullptr;  // no nested pool inside a segment task
-  seg_opts.paths = AccessPaths{};  // store-level indexes don't cover pieces
-
-  auto run_segment = [&](size_t k, size_t work_pages, ResultSink* out,
-                         JoinStats* stats) -> Status {
-    const SegmentedSet::Segment& sa = a.segments[k];
-    const SegmentedSet::Segment& sd = d.segments[k];
     // Ancestor replicas stay in the A input (the lemma needs them to
     // meet every descendant locally) but must leave the D input, or a
     // replicated descendant would emit its pairs once per covered
@@ -260,44 +238,16 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
     }
     Status st = Status::OK();
     if (d_view.num_records() > 0) {
-      RunOptions opts = seg_opts;
-      opts.work_pages = work_pages;
-      auto run = RunJoin(alg, sa.bm, sa.set, d_view, out, opts);
-      st = run.ok() ? Status::OK() : run.status();
-      if (run.ok()) stats->Merge(run.value().stats);
+      auto run = RunJoin(alg, sa.bm, sa.set, d_view, sink, seg_opts);
+      st = run.status();
+      if (run.ok()) stats.Merge(run.value().stats);
     }
     if (tmp.has_value()) {
       Status s = tmp->file.Drop(sd.bm);
       if (st.ok()) st = s;
     }
-    return st;
-  };
-
-  std::optional<ExecContext> local_exec;
-  ExecContext* exec = options.shared_exec;
-  if (exec == nullptr) {
-    local_exec.emplace(options.threads);
-    exec = &local_exec.value();
+    PBITREE_RETURN_IF_ERROR(st);
   }
-  JoinContext ctx(spill_bm, options.work_pages, exec);
-
-  if (ShouldParallelize(&ctx, active.size())) {
-    // Fan out one task per active segment; the fan-in replays buffered
-    // pairs in segment order, so the emitted sequence equals the serial
-    // loop below.
-    PBITREE_RETURN_IF_ERROR(ParallelPartitions(
-        &ctx, sink, active.size(),
-        [&](size_t i, JoinContext* worker, ResultSink* local_sink) {
-          return run_segment(active[i], worker->work_pages, local_sink,
-                             &worker->stats);
-        }));
-  } else {
-    for (size_t k : active) {
-      PBITREE_RETURN_IF_ERROR(
-          run_segment(k, options.work_pages, sink, &ctx.stats));
-    }
-  }
-  spill_bm->DrainAsyncIo();
 
   result.wall_seconds = timer.ElapsedSeconds();
   // The segment runs already folded their algorithm stats into the
@@ -306,23 +256,22 @@ StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
   result.metrics = after.Delta(before);
   result.page_reads = result.metrics.counter(obs::Counter::kPageReads);
   result.page_writes = result.metrics.counter(obs::Counter::kPageWrites);
-  result.stats = ctx.stats;
-  result.output_pairs = ctx.stats.output_pairs;
+  result.stats = stats;
+  result.output_pairs = stats.output_pairs;
   result.simulated_seconds =
       result.wall_seconds +
       options.simulated_io_ms * 1e-3 * (result.page_reads + result.page_writes);
   return result;
 }
 
-StatusOr<RunResult> RunSegmentedAuto(BufferManager* spill_bm,
-                                     const SegmentedSet& a,
+StatusOr<RunResult> RunSegmentedAuto(const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options) {
   InputProperties pa, pd;
   pa.sorted = a.sorted_by_start;
   pd.sorted = d.sorted_by_start;
   Algorithm alg = ChooseAlgorithm(pa, pd, a.SingleHeight());
-  return RunSegmentedJoin(alg, spill_bm, a, d, sink, options);
+  return RunSegmentedJoin(alg, a, d, sink, options);
 }
 
 }  // namespace pbitree

@@ -19,8 +19,6 @@
 
 namespace pbitree {
 
-class ExecContext;
-
 /// \brief Pre-existing access paths a run may use, grouped so call
 /// sites pass one value instead of four loose pointers.
 ///
@@ -47,23 +45,10 @@ struct RunOptions {
   /// storage. Must not exceed the buffer pool size.
   size_t work_pages = 500;
 
-  /// Worker threads for the partition-parallel execution paths
-  /// (src/exec/). 1 — the default — runs strictly serially and is
-  /// byte-identical to the pre-exec behaviour, including page-I/O
-  /// counts and result order. With N > 1 the partitioned joins
-  /// (SHCJ/MHCJ(+Rollup)/VPJ) join independent partition pairs on an
-  /// N-thread pool, each worker on a `work_pages / N` budget slice;
-  /// result *sets* are unchanged (pairs replay in partition order) but
-  /// I/O counts may differ (per-worker budgets change partition fan-out).
+  /// Every run executes on the calling thread; this value does not
+  /// change the plan, the I/O or the result order. It is validated
+  /// (>= 1) and kept so existing callers that set it still compile.
   size_t threads = 1;
-
-  /// Borrowed execution context shared across runs — the serve daemon's
-  /// worker pool. When set, `threads` is ignored and the run schedules
-  /// its partition tasks on this context, so N concurrent queries share
-  /// one pool instead of each spawning their own (no thread
-  /// oversubscription). The caller keeps ownership and must keep the
-  /// context alive for the duration of the run.
-  ExecContext* shared_exec = nullptr;
 
   /// Flush dirty pool pages after the run so their writes are charged
   /// to it — the measurement protocol of the benchmarks. The serve
@@ -96,8 +81,8 @@ struct RunOptions {
   /// enables the AVX2 paths where the host supports them. Unset
   /// inherits the process setting (PBITREE_SIMD, default on). Join
   /// output is byte-identical either way — this knob exists for A/B
-  /// measurement and differential testing. The toggle is process-global
-  /// so the run's pool workers see it.
+  /// measurement and differential testing. The toggle is
+  /// process-global.
   std::optional<bool> simd;
 
   /// Pre-existing access paths (see AccessPaths); missing ones are
@@ -132,13 +117,12 @@ struct RunResult {
 /// exactly the experimental protocol of Section 4.
 ///
 /// I/O and event counts come from a per-operation obs::MetricRegistry
-/// scope installed for the duration of the call (and propagated to pool
-/// workers), so concurrent traffic on the same DiskManager is never
-/// billed to this run; wall time includes preparation. Temporary files
-/// and indexes are dropped before return. When the caller already has a
-/// registry scope installed (a query pipeline accumulating several
-/// joins), the run bills into it and `result.metrics` is the delta this
-/// run contributed.
+/// scope installed for the duration of the call, so concurrent traffic
+/// on the same DiskManager is never billed to this run; wall time
+/// includes preparation. Temporary files and indexes are dropped before
+/// return. When the caller already has a registry scope installed (a
+/// query pipeline accumulating several joins), the run bills into it
+/// and `result.metrics` is the delta this run contributed.
 StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
                           const ElementSet& a, const ElementSet& d,
                           ResultSink* sink, const RunOptions& options);
@@ -163,29 +147,25 @@ StatusOr<RunResult> RunAuto(BufferManager* bm, const ElementSet& a,
                           const RunOptions& options);
 
 /// \brief Scatter-gather execution over a code-space-sharded pair: the
-/// join runs independently on each matching segment pair (segment k of
-/// A against segment k of D — the VPJ lemma guarantees no cross-segment
-/// pair exists) and the per-segment results merge through the
-/// ParallelPartitions order-preserving fan-in, so the emitted sequence
-/// equals the serial segment-order concatenation.
+/// join runs on each matching segment pair in turn (segment k of A
+/// against segment k of D — the VPJ lemma guarantees no cross-segment
+/// pair exists), so the emitted sequence is the segment-order
+/// concatenation of the per-segment results.
 ///
 /// Both sets must come from the same SegmentStore (matching level and
 /// per-segment pools). Ancestor replicas stay in the A input (the lemma
 /// needs them) but are filtered from the D input of each segment, so
-/// every result pair is produced exactly once. `spill_bm` (normally the
-/// store's main pool) serves the fan-in's spill files. Level 0 is
-/// delegated to RunJoin unchanged — byte-identical results and page-I/O
-/// to the unsegmented layout.
-StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, BufferManager* spill_bm,
-                                     const SegmentedSet& a,
+/// every result pair is produced exactly once. Level 0 is delegated to
+/// RunJoin unchanged — byte-identical results and page-I/O to the
+/// unsegmented layout.
+StatusOr<RunResult> RunSegmentedJoin(Algorithm alg, const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options);
 
 /// Table-1 selection over a segmented pair (segment pieces carry no
 /// prebuilt indexes, so the choice reduces to sortedness and the
 /// ancestor height profile), then RunSegmentedJoin.
-StatusOr<RunResult> RunSegmentedAuto(BufferManager* spill_bm,
-                                     const SegmentedSet& a,
+StatusOr<RunResult> RunSegmentedAuto(const SegmentedSet& a,
                                      const SegmentedSet& d, ResultSink* sink,
                                      const RunOptions& options);
 

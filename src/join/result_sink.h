@@ -2,12 +2,10 @@
 #define PBITREE_JOIN_RESULT_SINK_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "pbitree/code.h"
 #include "pbitree/simd.h"
 #include "storage/heap_file.h"
@@ -25,9 +23,7 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
 
-  /// Called once per result pair. For containment joins `a` is a
-  /// proper ancestor of `d`; for proximity joins the pair is two
-  /// distinct same-subtree elements.
+  /// Called once per result pair: `a` is a proper ancestor of `d`.
   virtual Status OnPair(Code a, Code d) = 0;
 
   /// Batched emission, pairs in emission order. The default forwards
@@ -165,118 +161,6 @@ class VectorSink : public ResultSink {
   void Sort();
 
  private:
-  std::vector<ResultPair> pairs_;
-};
-
-/// Buffers pairs for later replay into another sink — the thread-local
-/// sink of the partition-parallel execution driver. Each worker emits
-/// into its own BufferingSink with no synchronisation; the driver
-/// replays every buffer into the shared sink in partition order once
-/// all workers finished, reproducing the serial emission sequence.
-///
-/// Containment-join output can dwarf the input, so a sink constructed
-/// with a BufferManager bounds its heap footprint: once `max_buffered`
-/// pairs accumulate they are spilled to a temp heap file and replayed
-/// from disk first (spill order == emission order). The
-/// default-constructed sink never spills (unbounded memory — only for
-/// tests and known-small outputs).
-class BufferingSink : public ResultSink {
- public:
-  BufferingSink() = default;
-
-  BufferingSink(BufferManager* bm, size_t max_buffered)
-      : bm_(bm), max_buffered_(max_buffered < 1 ? 1 : max_buffered) {}
-
-  /// Error paths abandon the sink without replaying it; drop any spill
-  /// file so its temp pages don't leak.
-  ~BufferingSink() override {
-    if (bm_ != nullptr && spill_.valid()) spill_.Drop(bm_);
-  }
-
-  /// Move transfers spill-file ownership (a HeapFile handle copy
-  /// aliases the same pages, so the source must forget it).
-  BufferingSink(BufferingSink&& o) noexcept
-      : bm_(o.bm_),
-        max_buffered_(o.max_buffered_),
-        spill_(o.spill_),
-        pairs_(std::move(o.pairs_)) {
-    count_ = o.count_;
-    o.bm_ = nullptr;
-    o.spill_ = HeapFile();
-    o.count_ = 0;
-  }
-
-  BufferingSink(const BufferingSink&) = delete;
-  BufferingSink& operator=(const BufferingSink&) = delete;
-  BufferingSink& operator=(BufferingSink&&) = delete;
-
-  Status OnPair(Code a, Code d) override {
-    ++count_;
-    pairs_.push_back(ResultPair{a, d});
-    if (bm_ != nullptr && pairs_.size() >= max_buffered_) return Spill();
-    return Status::OK();
-  }
-
-  /// Bulk ingest in spill-boundary-identical chunks: the buffer spills
-  /// at exactly the same fill points as pair-by-pair emission, so spill
-  /// files (and their page I/O) are byte-identical either way.
-  Status OnBatch(std::span<const ResultPair> pairs) override {
-    if (bm_ == nullptr) {
-      count_ += pairs.size();
-      pairs_.insert(pairs_.end(), pairs.begin(), pairs.end());
-      return Status::OK();
-    }
-    while (!pairs.empty()) {
-      const size_t room = max_buffered_ - pairs_.size();
-      const size_t m = pairs.size() < room ? pairs.size() : room;
-      count_ += m;
-      pairs_.insert(pairs_.end(), pairs.begin(), pairs.begin() + m);
-      pairs = pairs.subspan(m);
-      if (pairs_.size() >= max_buffered_) PBITREE_RETURN_IF_ERROR(Spill());
-    }
-    return Status::OK();
-  }
-
-  /// Forwards every buffered pair to `target` (in emission order:
-  /// spilled pairs first, then the in-memory tail) and clears the
-  /// buffer.
-  Status ReplayInto(ResultSink* target) {
-    if (spill_.valid()) {
-      {
-        HeapFile::Scanner scan(bm_, spill_);
-        for (std::span<const ResultPair> batch = scan.NextPairBatch();
-             !batch.empty(); batch = scan.NextPairBatch()) {
-          PBITREE_RETURN_IF_ERROR(target->OnBatch(batch));
-        }
-        PBITREE_RETURN_IF_ERROR(scan.status());
-      }
-      PBITREE_RETURN_IF_ERROR(spill_.Drop(bm_));
-    }
-    PBITREE_RETURN_IF_ERROR(target->OnBatch(pairs_));
-    pairs_.clear();
-    return Status::OK();
-  }
-
-  /// True when any pairs went to disk (tests).
-  bool spilled() const { return spill_.valid(); }
-
- private:
-  Status Spill() {
-    if (!spill_.valid()) {
-      PBITREE_ASSIGN_OR_RETURN(spill_, HeapFile::Create(bm_));
-    }
-    obs::Count(obs::Counter::kSinkSpills);
-    obs::Count(obs::Counter::kSinkSpilledPairs, pairs_.size());
-    HeapFile::Appender app(bm_, &spill_);
-    PBITREE_RETURN_IF_ERROR(app.AppendPairs(pairs_));
-    PBITREE_RETURN_IF_ERROR(app.Finish());
-    pairs_.clear();
-    return Status::OK();
-  }
-
-  BufferManager* bm_ = nullptr;
-  size_t max_buffered_ = 0;
-  HeapFile spill_;
   std::vector<ResultPair> pairs_;
 };
 

@@ -24,8 +24,6 @@ const char* CounterName(Counter c) {
     case Counter::kBufDirtyWrites: return "buf_dirty_writes";
     case Counter::kSortRuns: return "sort_runs";
     case Counter::kSortMergePasses: return "sort_merge_passes";
-    case Counter::kSinkSpills: return "sink_spills";
-    case Counter::kSinkSpilledPairs: return "sink_spilled_pairs";
     case Counter::kPoolTasks: return "pool_tasks";
     case Counter::kPoolHelpRuns: return "pool_help_runs";
     case Counter::kJoinOutputPairs: return "join_output_pairs";
@@ -54,7 +52,6 @@ const char* CounterName(Counter c) {
 
 const char* GaugeName(Gauge g) {
   switch (g) {
-    case Gauge::kPoolQueueDepth: return "pool_queue_depth_max";
     case Gauge::kJoinRecursionDepth: return "join_recursion_depth_max";
     case Gauge::kServeQueueDepth: return "serve_queue_depth_max";
     case Gauge::kServeCacheBytes: return "serve_cache_bytes_max";

@@ -23,9 +23,7 @@ namespace obs {
 ///    merged when somebody reads a snapshot.
 ///  - Attribution is scope-based: an operation installs a MetricScope
 ///    (thread-local current-registry pointer) and every instrumented
-///    event on that thread — and, via the ThreadPool's task wrappers,
-///    on every pool worker executing that operation's tasks — bills to
-///    it. Two operations interleaving on the same DiskManager therefore
+///    event on that thread bills to it. Two operations interleaving on the same DiskManager therefore
 ///    report disjoint I/O, which the old global-delta accounting could
 ///    not do.
 ///  - With no scope installed every hook is a null-check and nothing
@@ -49,10 +47,8 @@ enum class Counter : uint32_t {
   // ExternalSort structure.
   kSortRuns,
   kSortMergePasses,
-  // BufferingSink spill-file lifecycle.
-  kSinkSpills,
-  kSinkSpilledPairs,
-  // ThreadPool execution.
+  // Intra-query worker-pool tasks. Joins run on their calling thread,
+  // so both read 0; the keys stay for reports that still name them.
   kPoolTasks,
   kPoolHelpRuns,
   // JoinStats fed in bulk by the framework runner.
@@ -90,17 +86,15 @@ inline constexpr size_t kNumCounters =
 
 /// High-water marks, merged by max across shards and over time.
 enum class Gauge : uint32_t {
-  kPoolQueueDepth = 0,
-  kJoinRecursionDepth,
+  kJoinRecursionDepth = 0,
   kServeQueueDepth,  // admission-queue high-water mark
   kServeCacheBytes,  // result-cache resident-byte high-water mark
 };
 inline constexpr size_t kNumGauges =
     static_cast<size_t>(Gauge::kServeCacheBytes) + 1;
 
-/// Phases an ObsSpan can be scoped to. Totals sum across workers (a
-/// CPU-time-like aggregate), max is the longest single span (the
-/// critical-path contribution of the phase).
+/// Phases an ObsSpan can be scoped to. Totals sum across spans, max is
+/// the longest single span.
 enum class Phase : uint32_t {
   kPartition = 0,
   kBuild,
@@ -108,7 +102,7 @@ enum class Phase : uint32_t {
   kSort,
   kMerge,
   kFlush,
-  kReplay,
+  kReplay,  // no span records it (joins emit in place); reads 0
 };
 inline constexpr size_t kNumPhases = static_cast<size_t>(Phase::kReplay) + 1;
 

@@ -85,9 +85,7 @@ size_t LowerBoundStart(const uint64_t* codes, size_t stride, size_t n,
                        uint64_t threshold);
 
 /// out[i] = AncestorAtHeight(codes[i*stride], h) for i in [0, n) — the
-/// batched rolled-key computation of the hash equijoins. Callers that
-/// skip some records (proximity height filter) still get a key computed
-/// for every slot; unused slots are simply never read.
+/// batched rolled-key computation of the hash equijoins.
 void RolledKeys(const uint64_t* codes, size_t stride, size_t n, int h,
                 uint64_t* out);
 

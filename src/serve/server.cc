@@ -60,8 +60,6 @@ ServeConfig ServeConfig::FromEnv() {
   cfg.work_pages = static_cast<size_t>(EnvInt64Checked(
       "PBITREE_SERVE_WORK_PAGES", static_cast<int64_t>(cfg.work_pages),
       3 * static_cast<int64_t>(cfg.max_concurrent), 1 << 24));
-  cfg.threads = static_cast<size_t>(EnvInt64Checked(
-      "PBITREE_SERVE_THREADS", static_cast<int64_t>(cfg.threads), 1, 1024));
   cfg.cache = ResultCacheConfig::FromEnv();
   return cfg;
 }
@@ -107,8 +105,6 @@ Status Server::Start() {
     PBITREE_ASSIGN_OR_RETURN(ElementSet set, catalog_.Get(bm_, name));
     sets_.emplace(name, set);
   }
-
-  exec_ = std::make_unique<ExecContext>(cfg_.threads);
 
   if (::pipe(wake_pipe_) != 0) {
     return Status::IOError(std::string("pipe: ") + std::strerror(errno));
@@ -255,10 +251,9 @@ void Server::AcceptLoop() {
 }
 
 void Server::HandleConnection(Conn* conn) {
-  // All work on this connection — admission waits, join execution on
-  // this thread, pool tasks it schedules — bills into the server
-  // registry, the source of the `metrics` snapshot and the QPS bench's
-  // latency histograms.
+  // All work on this connection — admission waits and join execution
+  // on this thread — bills into the server registry, the source of the
+  // `metrics` snapshot and the QPS bench's latency histograms.
   obs::MetricScope scope(&registry_);
   const int fd = conn->fd;
   for (;;) {
@@ -437,7 +432,6 @@ Status Server::HandleJoin(int fd, const Request& req) {
 
   RunOptions options;
   options.work_pages = PerQueryWorkPages();
-  options.shared_exec = exec_.get();
   options.flush_pool = false;  // phase op; see RunOptions::flush_pool
   options.simd = simd;
   SocketSink socket_sink(fd);
@@ -447,9 +441,8 @@ Status Server::HandleJoin(int fd, const Request& req) {
                                : &socket_sink;
   StatusOr<RunResult> run =
       segmented
-          ? (is_auto ? RunSegmentedAuto(bm_, *seg_a, *seg_d, sink, options)
-                     : RunSegmentedJoin(alg, bm_, *seg_a, *seg_d, sink,
-                                        options))
+          ? (is_auto ? RunSegmentedAuto(*seg_a, *seg_d, sink, options)
+                     : RunSegmentedJoin(alg, *seg_a, *seg_d, sink, options))
           : (is_auto ? RunAuto(bm_, *a, *d, sink, options)
                      : RunJoin(alg, bm_, *a, *d, sink, options));
   if (!run.ok()) {

@@ -6,13 +6,11 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/status.h"
-#include "exec/exec_context.h"
 #include "join/element_set.h"
 #include "join/segmented_set.h"
 #include "obs/metrics.h"
@@ -49,15 +47,11 @@ struct ServeConfig {
   size_t queue_depth = 16;
   /// Total buffer-page budget shared by the concurrent queries.
   size_t work_pages = 512;
-  /// Width of the shared worker pool (exec/). 1 = serial per query;
-  /// the queries themselves still run concurrently on their
-  /// connection threads.
-  size_t threads = 1;
   /// Epoch-keyed query-result cache (see serve/result_cache.h).
   ResultCacheConfig cache;
 
   /// Reads PBITREE_SERVE_PORT / _MAX_CLIENTS / _MAX_CONCURRENT /
-  /// _QUEUE_DEPTH / _WORK_PAGES / _THREADS via EnvInt64Checked, plus
+  /// _QUEUE_DEPTH / _WORK_PAGES via EnvInt64Checked, plus
   /// the result-cache knobs via ResultCacheConfig::FromEnv.
   static ServeConfig FromEnv();
 };
@@ -76,10 +70,9 @@ struct ServeConfig {
 /// cancelled, and the backend gets a final FlushAll + Sync barrier.
 ///
 /// Concurrency model: one thread per connection (bounded by
-/// max_clients), queries gated by the AdmissionController, partition
-/// parallelism on one shared ExecContext pool (RunOptions::shared_exec)
-/// so the thread budget is global, and per-query page budgets sliced
-/// from `work_pages`. Every handler thread bills into the server's
+/// max_clients), queries gated by the AdmissionController, each join
+/// running on its connection's thread, and per-query page budgets
+/// sliced from `work_pages`. Every handler thread bills into the server's
 /// MetricRegistry — `metrics` requests return its JSON snapshot, and
 /// the serve_query latency histogram is the p50/p99 source.
 class Server {
@@ -168,7 +161,6 @@ class Server {
 
   obs::MetricRegistry registry_;
   AdmissionController admission_;
-  std::unique_ptr<ExecContext> exec_;
   /// Warm handles to every catalogued set, loaded once in Start().
   std::map<std::string, ElementSet> sets_;
   /// Warm handles to the segmented (master-entry) sets.

@@ -91,11 +91,16 @@ TEST_P(ExternalSortTest, SortsByStartOrder) {
   EXPECT_EQ(ReadCodes(*sorted).size(), codes.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, ExternalSortTest,
-    ::testing::Values(SortCase{0, 3}, SortCase{1, 3}, SortCase{255, 3},
-                      SortCase{10000, 3}, SortCase{10000, 4},
-                      SortCase{100000, 8}, SortCase{100000, 64}));
+// A static table, not ::testing::Values temporaries: gtest prints the
+// parameter's raw bytes into the test name, and only a statically
+// initialised SortCase has zeroed padding, so only then is the name the
+// same from build to build.
+constexpr SortCase kSortCases[] = {
+    {0, 3}, {1, 3}, {255, 3}, {10000, 3}, {10000, 4}, {100000, 8}, {100000, 64},
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, ExternalSortTest,
+                         ::testing::ValuesIn(kSortCases));
 
 using ExternalSortSingleTest = ExternalSortTest;
 

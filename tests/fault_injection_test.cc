@@ -258,6 +258,8 @@ TEST(FaultInjectionTest, DeterministicAcrossRuns) {
 
 constexpr int kTreeHeight = 16;
 
+// `threads` is RunOptions::threads. Every run executes on the calling
+// thread, so a threads=2 case must behave exactly like threads=1.
 struct FaultJoinCase {
   Algorithm algorithm;
   size_t threads;

@@ -32,6 +32,27 @@ TEST(PlannerTest, Table1Selection) {
   EXPECT_EQ(ChooseAlgorithm(both, indexed, false), Algorithm::kInljn);
 }
 
+// Merged stats come from runs executed one after another (the segments
+// of a segmented join), so phase time adds up; recursion depth stays a
+// maximum.
+TEST(JoinStatsMergeTest, PhaseTimersSumAcrossSerialRuns) {
+  JoinStats a, b;
+  a.output_pairs = 10;
+  a.sort_seconds = 1.0;
+  a.index_build_seconds = 0.5;
+  a.recursion_depth = 3;
+  b.output_pairs = 5;
+  b.sort_seconds = 2.0;
+  b.index_build_seconds = 0.25;
+  b.recursion_depth = 7;
+
+  a.Merge(b);
+  EXPECT_EQ(a.output_pairs, 15u);
+  EXPECT_DOUBLE_EQ(a.sort_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(a.index_build_seconds, 0.75);
+  EXPECT_EQ(a.recursion_depth, 7u);
+}
+
 TEST(PlannerTest, AlgorithmNamesAreStable) {
   EXPECT_STREQ(AlgorithmName(Algorithm::kVpj), "VPJ");
   EXPECT_STREQ(AlgorithmName(Algorithm::kMhcjRollup), "MHCJ+Rollup");

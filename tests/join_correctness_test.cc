@@ -192,33 +192,41 @@ TEST_P(JoinCorrectnessTest, RootContainsEverything) {
 }
 
 // SHCJ is only defined for single-height ancestor sets, so it gets its
-// own shape; the general matrix runs the other seven algorithms. The
-// partition-parallel algorithms run twice more at threads=4: the result
-// set must be identical to the serial run (VerifyingSink re-checks each
-// pair, the sorted comparison catches drops/duplicates).
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, JoinCorrectnessTest,
-    ::testing::Values(JoinCase{Algorithm::kVpj, 8},
-                      JoinCase{Algorithm::kVpj, 16},
-                      JoinCase{Algorithm::kVpj, 64},
-                      JoinCase{Algorithm::kVpj, 16, 4},
-                      JoinCase{Algorithm::kVpj, 64, 4},
-                      JoinCase{Algorithm::kMhcj, 4},
-                      JoinCase{Algorithm::kMhcj, 64},
-                      JoinCase{Algorithm::kMhcj, 16, 4},
-                      JoinCase{Algorithm::kMhcjRollup, 4},
-                      JoinCase{Algorithm::kMhcjRollup, 16},
-                      JoinCase{Algorithm::kMhcjRollup, 64},
-                      JoinCase{Algorithm::kMhcjRollup, 16, 4},
-                      JoinCase{Algorithm::kStackTree, 3},
-                      JoinCase{Algorithm::kStackTree, 16},
-                      JoinCase{Algorithm::kMpmgjn, 4},
-                      JoinCase{Algorithm::kMpmgjn, 4, 4},
-                      JoinCase{Algorithm::kInljn, 8},
-                      JoinCase{Algorithm::kInljn, 64},
-                      JoinCase{Algorithm::kAdb, 8},
-                      JoinCase{Algorithm::kAdb, 64}),
-    CaseName);
+// own shape; the general matrix runs the other seven algorithms. Some
+// cases set RunOptions::threads=4: every run executes on the calling
+// thread, so their result set must be identical to the threads=1 run
+// (VerifyingSink re-checks each pair, the sorted comparison catches
+// drops/duplicates).
+//
+// The cases live in static tables rather than in ::testing::Values
+// temporaries: gtest prints a parameter's raw bytes into the test name,
+// and only a statically initialised JoinCase has zeroed padding, so only
+// then is the name the same from build to build.
+constexpr JoinCase kMatrixCases[] = {
+    {Algorithm::kVpj, 8},
+    {Algorithm::kVpj, 16},
+    {Algorithm::kVpj, 64},
+    {Algorithm::kVpj, 16, 4},
+    {Algorithm::kVpj, 64, 4},
+    {Algorithm::kMhcj, 4},
+    {Algorithm::kMhcj, 64},
+    {Algorithm::kMhcj, 16, 4},
+    {Algorithm::kMhcjRollup, 4},
+    {Algorithm::kMhcjRollup, 16},
+    {Algorithm::kMhcjRollup, 64},
+    {Algorithm::kMhcjRollup, 16, 4},
+    {Algorithm::kStackTree, 3},
+    {Algorithm::kStackTree, 16},
+    {Algorithm::kMpmgjn, 4},
+    {Algorithm::kMpmgjn, 4, 4},
+    {Algorithm::kInljn, 8},
+    {Algorithm::kInljn, 64},
+    {Algorithm::kAdb, 8},
+    {Algorithm::kAdb, 64},
+};
+
+INSTANTIATE_TEST_SUITE_P(Matrix, JoinCorrectnessTest,
+                         ::testing::ValuesIn(kMatrixCases), CaseName);
 
 class ShcjTest : public JoinCorrectnessTest {};
 
@@ -247,10 +255,13 @@ TEST_P(ShcjTest, RejectsMultiHeightAncestors) {
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shcj, ShcjTest,
-                         ::testing::Values(JoinCase{Algorithm::kShcj, 4},
-                                           JoinCase{Algorithm::kShcj, 64},
-                                           JoinCase{Algorithm::kShcj, 16, 4}),
+constexpr JoinCase kShcjCases[] = {
+    {Algorithm::kShcj, 4},
+    {Algorithm::kShcj, 64},
+    {Algorithm::kShcj, 16, 4},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shcj, ShcjTest, ::testing::ValuesIn(kShcjCases),
                          CaseName);
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for the observability layer: registry sharding and scope
-// semantics, snapshot deltas, the schema-stable JSON report, the
-// JoinStats::Merge critical-path fix, and — the property the subsystem
-// exists for — per-operation I/O attribution that stays disjoint when
+// semantics, snapshot deltas, the schema-stable JSON report, and — the
+// property the subsystem exists for — per-operation I/O attribution that stays disjoint when
 // operations interleave on one DiskManager.
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "common/random.h"
 #include "framework/runner.h"
 #include "join/element_set.h"
-#include "join/join_context.h"
 #include "join/result_sink.h"
 #include "obs/metrics.h"
 #include "storage/buffer_manager.h"
@@ -45,7 +43,7 @@ TEST(MetricRegistryTest, CountersSumAcrossThreads) {
         obs::Count(Counter::kPageReads);
       }
       obs::Count(Counter::kPageWrites, kPerThread);
-      obs::GaugeMax(Gauge::kPoolQueueDepth, static_cast<uint64_t>(t));
+      obs::GaugeMax(Gauge::kServeQueueDepth, static_cast<uint64_t>(t));
     });
   }
   for (auto& th : threads) th.join();
@@ -54,7 +52,7 @@ TEST(MetricRegistryTest, CountersSumAcrossThreads) {
   EXPECT_EQ(snap.counter(Counter::kPageReads), kThreads * kPerThread);
   EXPECT_EQ(snap.counter(Counter::kPageWrites), kThreads * kPerThread);
   // Gauges merge by max across shards.
-  EXPECT_EQ(snap.gauge(Gauge::kPoolQueueDepth), kThreads - 1);
+  EXPECT_EQ(snap.gauge(Gauge::kServeQueueDepth), kThreads - 1);
   EXPECT_EQ(snap.counter(Counter::kBufFetches), 0u);
 }
 
@@ -200,35 +198,6 @@ TEST(MetricsSnapshotTest, JsonIsSchemaStableAndDeterministic) {
   a.phases[0] = b.phases[0] = obs::PhaseStat{2, 300, 200};
   EXPECT_EQ(a.ToJson(), b.ToJson());
   EXPECT_NE(a.ToJson(), empty.ToJson());
-}
-
-TEST(JoinStatsMergeTest, PhaseTimersMergeAsCriticalPathMax) {
-  // Regression: Merge used to SUM sort/index-build seconds across
-  // parallel workers, reporting more phase time than the operation's
-  // wall clock. Wall-clock phases merge as max.
-  JoinStats a, b;
-  a.output_pairs = 10;
-  a.sort_seconds = 2.0;
-  a.index_build_seconds = 0.5;
-  a.recursion_depth = 3;
-  b.output_pairs = 5;
-  b.sort_seconds = 3.0;
-  b.index_build_seconds = 0.25;
-  b.recursion_depth = 7;
-
-  a.Merge(b);
-  EXPECT_EQ(a.output_pairs, 15u);          // event counts still sum
-  EXPECT_DOUBLE_EQ(a.sort_seconds, 3.0);   // NOT 5.0
-  EXPECT_DOUBLE_EQ(a.index_build_seconds, 0.5);  // NOT 0.75
-  EXPECT_EQ(a.recursion_depth, 7u);
-
-  // Merging the other direction keeps the same critical path.
-  JoinStats c;
-  c.sort_seconds = 3.0;
-  JoinStats d;
-  d.sort_seconds = 2.0;
-  c.Merge(d);
-  EXPECT_DOUBLE_EQ(c.sort_seconds, 3.0);
 }
 
 class ObsIoAttributionTest : public ::testing::Test {
@@ -390,26 +359,6 @@ TEST_F(RunnerMetricsTest, AmbientRegistryAccumulatesAcrossRuns) {
   MetricsSnapshot total = pipeline.Snapshot();
   EXPECT_EQ(total.counter(Counter::kPageReads),
             r1->page_reads + r2->page_reads);
-}
-
-TEST_F(RunnerMetricsTest, ParallelRunBillsPoolWorkToTheOperation) {
-  RunOptions opts;
-  opts.work_pages = 64;
-  opts.cold_cache = true;
-  opts.threads = 4;
-  CountingSink serial_sink, par_sink;
-
-  RunOptions serial = opts;
-  serial.threads = 1;
-  // MHCJ joins each height partition independently — the parallel path.
-  auto sr = RunJoin(Algorithm::kMhcj, bm_.get(), a_, d_, &serial_sink, serial);
-  auto pr = RunJoin(Algorithm::kMhcj, bm_.get(), a_, d_, &par_sink, opts);
-  ASSERT_TRUE(sr.ok() && pr.ok());
-  EXPECT_EQ(sr->output_pairs, pr->output_pairs);
-  // Pool tasks exist and were billed to this run's registry, not lost
-  // to the workers' ambient (null) scope.
-  EXPECT_GT(pr->metrics.counter(Counter::kPoolTasks), 0u);
-  EXPECT_GT(pr->metrics.counter(Counter::kPageReads), 0u);
 }
 
 }  // namespace

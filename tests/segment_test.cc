@@ -5,8 +5,7 @@
 // eight-algorithm matrix, with ancestor replicas routed by the VPJ cut
 // lemma and never double-counted — under a healthy backend and under
 // the transient-fault schedule. Also covers the merged (replica-free)
-// view, catalog persistence across reopen, and the parallel
-// scatter-gather fan-in's order contract.
+// view and catalog persistence across reopen.
 
 #include <gtest/gtest.h>
 
@@ -123,8 +122,7 @@ Measured RunSegmented(Algorithm alg, SegmentStore* store,
   EXPECT_TRUE(a.ok() && d.ok());
   VectorSink collected;
   VerifyingSink sink(&collected);
-  auto run = RunSegmentedJoin(alg, store->main_bm(), *a, *d, &sink,
-                              ColdOptions(threads));
+  auto run = RunSegmentedJoin(alg, *a, *d, &sink, ColdOptions(threads));
   EXPECT_TRUE(run.ok()) << AlgorithmName(alg) << ": "
                         << run.status().ToString();
   Measured m;
@@ -355,9 +353,10 @@ TEST_P(SegmentDifferentialTest, MergedViewRoundTrips) {
   ASSERT_TRUE(sorted_set.file.Drop(scratch_bm_.get()).ok());
 }
 
-// The parallel scatter-gather path replays per-segment results through
-// the order-preserving fan-in: the emitted sequence equals the serial
-// segment-order run exactly, not just as a multiset.
+// Scatter-gather joins the segments one after another on the calling
+// thread and fans their results in in segment order; RunOptions::threads
+// does not change that, so a threads=4 run emits exactly the threads=1
+// sequence, not just the same multiset.
 TEST_P(SegmentDifferentialTest, ParallelFanInPreservesSerialOrder) {
   std::unique_ptr<SegmentStore> store = OpenMemStore(2);
   StoreInputs(store.get());
@@ -600,19 +599,16 @@ TEST(SegmentStoreTest, RunSegmentedJoinValidatesItsInputs) {
   CountingSink sink;
   RunOptions opts;
   // Levels differ.
-  auto cross = RunSegmentedJoin(Algorithm::kVpj, s1->main_bm(), *sa1, *sd2,
-                                &sink, opts);
+  auto cross = RunSegmentedJoin(Algorithm::kVpj, *sa1, *sd2, &sink, opts);
   EXPECT_FALSE(cross.ok());
   // Same level but pieces from different stores (different pools).
   auto sa2 = s2->Load("a");
   auto sd3 = s3->Load("d");
   ASSERT_TRUE(sa2.ok() && sd3.ok());
-  auto mixed = RunSegmentedJoin(Algorithm::kVpj, s2->main_bm(), *sa2, *sd3,
-                                &sink, opts);
+  auto mixed = RunSegmentedJoin(Algorithm::kVpj, *sa2, *sd3, &sink, opts);
   EXPECT_FALSE(mixed.ok());
   // Matched inputs from one store work.
-  auto good = RunSegmentedJoin(Algorithm::kVpj, s2->main_bm(), *sa2, *sd2,
-                               &sink, opts);
+  auto good = RunSegmentedJoin(Algorithm::kVpj, *sa2, *sd2, &sink, opts);
   EXPECT_TRUE(good.ok()) << good.status().ToString();
 }
 

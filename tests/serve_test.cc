@@ -263,7 +263,6 @@ TEST(ServeConfigTest, DefaultsSurviveUnsetEnv) {
   EXPECT_EQ(cfg.max_concurrent, 4u);
   EXPECT_EQ(cfg.queue_depth, 16u);
   EXPECT_EQ(cfg.work_pages, 512u);
-  EXPECT_EQ(cfg.threads, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +315,6 @@ class ServeTest : public ::testing::Test {
     cfg.max_concurrent = 2;
     cfg.queue_depth = 8;
     cfg.work_pages = 64;
-    cfg.threads = 1;
     return cfg;
   }
 
@@ -638,38 +636,6 @@ TEST_F(ServeTest, ClientDisconnectMidStreamAbortsWithoutLeaks) {
   server_.reset();
   EXPECT_TRUE(a_big.file.Drop(bm_.get()).ok());
   EXPECT_TRUE(d_big.file.Drop(bm_.get()).ok());
-}
-
-TEST_F(ServeTest, SharedExecPoolServesParallelPartitionedQueries) {
-  ServeConfig cfg = TestConfig();
-  cfg.threads = 2;  // one shared pool for every query
-  StartServer(cfg);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&] {
-      Client c;
-      if (!c.Connect("127.0.0.1", server_->port()).ok()) {
-        ++failures;
-        return;
-      }
-      VectorSink sink;
-      auto summary = c.Join("anc", "desc", "MHCJ", &sink);
-      if (!summary.ok()) {
-        ADD_FAILURE() << summary.status().ToString();
-        ++failures;
-        return;
-      }
-      sink.Sort();
-      if (sink.pairs() != expect_sorted_) {
-        ADD_FAILURE() << "parallel result mismatch";
-        ++failures;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(bm_->PinnedFrames(), 0u);
 }
 
 }  // namespace

@@ -16,10 +16,9 @@
 // backend through the
 // IoBackend factory (file — the default — persists at <db>; mem runs
 // the same commands against a volatile in-memory store, useful for
-// benchmarking the algorithms without touching disk). `--threads N`
-// (default 1) runs the partitioned joins on an N-worker pool; 1 is the
-// strictly serial, paper-faithful execution. `--metrics` prints the
-// query's full per-operation metrics report as one JSON object.
+// benchmarking the algorithms without touching disk). `--metrics`
+// prints the query's full per-operation metrics report as one JSON
+// object.
 //
 // The database file survives restarts: `encode` once, `query` many
 // times. Queries run on whatever access paths exist — freshly loaded
@@ -68,7 +67,6 @@ struct GlobalOptions {
                                  // async-file | async-mem)
   std::string server;            // host:port — route to pbitree_serverd
   std::string alg = "auto";      // server mode: algorithm to request
-  size_t threads = 1;
   int readahead = -1;  // scan readahead pages; -1 = pool default
   int segments = -1;   // encode: code-space sharding level l (2^l segment
                        // files); -1/0 = unsegmented single-file layout
@@ -348,7 +346,6 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
 
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
-  opts.threads = g.threads;
   if (g.readahead >= 0) {
     opts.readahead_pages = static_cast<size_t>(g.readahead);
   }
@@ -566,7 +563,6 @@ const Subcommand kSubcommands[] = {
      CmdList},
     {"query", "<db> '//a[//p]//b//c'",
      "evaluate a descendant path by chaining containment joins",
-     "  --threads N         worker threads for partitioned joins (default 1)\n"
      "  --metrics           print the per-operation metrics report as JSON\n"
      "  --simd on|off       force the AVX2 kernels on or off for this query\n"
      "                      (default: PBITREE_SIMD; output is identical)\n"
@@ -619,16 +615,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--metrics") == 0) {
       g.metrics = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      long n = std::atol(argv[++i]);
-      g.threads = n < 1 ? 1 : static_cast<size_t>(n);
-      continue;
-    }
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      long n = std::atol(arg + 10);
-      g.threads = n < 1 ? 1 : static_cast<size_t>(n);
       continue;
     }
     if (std::strcmp(arg, "--readahead") == 0 && i + 1 < argc) {

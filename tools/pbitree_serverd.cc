@@ -17,7 +17,6 @@
 //   PBITREE_SERVE_QUEUE_DEPTH     admission queue length    (default 16)
 //   PBITREE_SERVE_WORK_PAGES     page budget shared by the concurrent
 //                                 queries                   (default 512)
-//   PBITREE_SERVE_THREADS        shared worker-pool width  (default 1)
 //   PBITREE_SERVE_POOL_PAGES     buffer-pool frames        (default 1024)
 //   PBITREE_RESULT_CACHE         query-result cache on/off (default 1)
 //   PBITREE_RESULT_CACHE_BYTES   result-cache byte budget  (default 64 MiB)
