@@ -179,7 +179,6 @@ std::vector<ElementRecord> ReadSortedRecords(BufferManager* bm,
 
 JoinRow RunJoinBench(const BenchConfig& cfg, int reps, PageCodecKind codec) {
   Env env(cfg.DefaultBufferPages() + 16);
-  env.bm->set_readahead_pages(0);
   SyntheticSpec spec;
   spec.a_count = static_cast<uint64_t>(1e5 * cfg.scale * 10);
   spec.d_count = static_cast<uint64_t>(1e5 * cfg.scale * 10);

@@ -34,25 +34,6 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
   }
   obs::MetricScope scope(registry);
 
-  // Async-I/O discipline: prefetch and write-behind jobs submitted
-  // during this run capture a raw pointer to `registry`, so the worker
-  // pool must be drained before a local registry dies — on every path,
-  // including errors. The guard (destroyed before `local_registry`)
-  // also restores an overridden readahead window.
-  struct AsyncIoGuard {
-    BufferManager* bm;
-    std::optional<size_t> restore;
-    ~AsyncIoGuard() {
-      bm->DrainAsyncIo();
-      if (restore.has_value()) bm->set_readahead_pages(*restore);
-    }
-  } async_guard{bm, std::nullopt};
-  if (options.readahead_pages.has_value() &&
-      *options.readahead_pages != bm->readahead_pages()) {
-    async_guard.restore = bm->readahead_pages();
-    bm->set_readahead_pages(*options.readahead_pages);
-  }
-
   if (options.cold_cache) {
     // Before the baseline snapshot: flushing a previous run's leftover
     // dirty pages must not be charged to this run.
@@ -71,10 +52,6 @@ StatusOr<RunResult> RunJoin(Algorithm alg, BufferManager* bm,
     PBITREE_RETURN_IF_ERROR(
         GetAlgorithmInfo(alg).run(&ctx, a, d, sink, options));
   }
-  // The run isn't over until its async I/O settles: drain inside the
-  // timed region so readahead pays for any writes it still owes, and so
-  // the metrics snapshot below sees every job's counters.
-  bm->DrainAsyncIo();
   if (options.flush_pool) {
     // Force dirty pages out so writes are charged to this run.
     obs::ObsSpan flush_span(obs::Phase::kFlush);

@@ -68,14 +68,6 @@ struct RunOptions {
   /// previous run left behind. Benchmarks enable this.
   bool cold_cache = false;
 
-  /// When set, overrides the pool's readahead window for the duration
-  /// of this run (restored afterwards): 0 forces synchronous I/O,
-  /// K > 0 lets sequential scans keep K pages prefetching. Readahead
-  /// moves *when* pages are read, never *whether* — page-read counts
-  /// and join output are identical either way. Unset inherits the
-  /// pool's setting (PBITREE_READAHEAD_PAGES).
-  std::optional<size_t> readahead_pages;
-
   /// Overrides the SIMD kernel toggle for the duration of this run
   /// (restored afterwards): false forces the scalar fallbacks, true
   /// enables the AVX2 paths where the host supports them. Unset

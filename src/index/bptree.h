@@ -95,12 +95,6 @@ class BPTree {
     /// Latches `s`, mirrors it into the optional out-param, kills the scan.
     bool Fail(Status s, Status* status);
 
-    /// Issues a StartPrefetch for the next leaf in the chain while the
-    /// consumer drains the current one, unless the scan provably ends
-    /// inside the current leaf. Tracks the outstanding page so Close()
-    /// can CancelPrefetch an unconsumed readahead (early range exit).
-    void MaybePrefetchNextLeaf();
-
     BufferManager* bm_;
     uint64_t hi_;
     Page* leaf_ = nullptr;
@@ -109,8 +103,6 @@ class BPTree {
     uint64_t lo_;
     const BPTree* tree_;
     Status status_;
-    /// Next-leaf page with a prefetch in flight (kStarted), or invalid.
-    PageId ra_next_ = kInvalidPageId;
   };
 
   /// First leaf entry with key >= `key`; used by ADB+ skipping. Returns

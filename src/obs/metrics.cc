@@ -39,10 +39,6 @@ const char* CounterName(Counter c) {
     case Counter::kServeQueries: return "serve_queries";
     case Counter::kServeRejected: return "serve_rejected";
     case Counter::kCatalogLoads: return "catalog_loads";
-    case Counter::kBufPrefetchIssued: return "buf_prefetch_issued";
-    case Counter::kBufPrefetchHits: return "buf_prefetch_hits";
-    case Counter::kBufPrefetchUnused: return "buf_prefetch_unused";
-    case Counter::kBufWriteBehind: return "buf_write_behind";
     case Counter::kServeCacheHits: return "serve_cache_hits";
     case Counter::kServeCacheMisses: return "serve_cache_misses";
     case Counter::kServeCacheEvictions: return "serve_cache_evictions";

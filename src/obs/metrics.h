@@ -70,12 +70,6 @@ enum class Counter : uint32_t {
   kServeRejected,  // queries refused by admission control (queue full)
   kCatalogLoads,   // Catalog::Load calls — a warm server stays at 1
 
-  // Buffer-pool readahead / write-behind (see storage/buffer_manager.h).
-  kBufPrefetchIssued,  // prefetch transfers started
-  kBufPrefetchHits,    // fetches served by a completed prefetch
-  kBufPrefetchUnused,  // prefetched frames dropped before consumption
-  kBufWriteBehind,     // dirty pages handed to the background flusher
-
   // Serve-layer result cache (see serve/result_cache.h).
   kServeCacheHits,       // joins answered from a cached result
   kServeCacheMisses,     // joins that had to execute (cache on, no entry)
@@ -109,8 +103,8 @@ inline constexpr size_t kNumPhases = static_cast<size_t>(Phase::kReplay) + 1;
 /// Latency histogram kinds (log2-bucketed nanoseconds).
 enum class Latency : uint32_t {
   kIoWait = 0,      // time blocked on page I/O: the synchronous transfer
-                    // of a buffer-pool miss, waits on in-flight frames,
-                    // and waits for async I/O completions
+                    // of a buffer-pool miss or victim write-back, and
+                    // waits on frames other threads have in flight
   kLatchWait,       // buffer-pool latch acquisition on the fetch path
   kServeQueueWait,  // time a query spent queued behind admission control
   kServeQuery,      // end-to-end per-query service time (p50/p99 source)
@@ -225,8 +219,7 @@ inline MetricRegistry* CurrentRegistry() {
 }
 
 /// \brief RAII scope installing `registry` as the current thread's
-/// billing target (null clears it — tasks must not inherit a stale
-/// scope from their worker thread). Restores the previous scope on
+/// billing target (null clears it). Restores the previous scope on
 /// destruction, so scopes nest.
 class MetricScope {
  public:

@@ -41,9 +41,9 @@ bool Avx2Available();
 /// non-zero = on, "0" = off) and can be overridden at runtime.
 bool Enabled();
 
-/// Overrides the process-global enable flag (visible to all threads —
-/// pool workers must observe a per-run override). Returns the previous
-/// value. Enabling has no effect when Avx2Available() is false.
+/// Overrides the process-global enable flag (visible to all threads).
+/// Returns the previous value. Enabling has no effect when
+/// Avx2Available() is false.
 bool SetEnabled(bool on);
 
 /// RAII override of the enable flag for one scope — how

@@ -161,23 +161,6 @@ Status DiskManager::ReadPage(PageId page_id, char* out) {
   // I/O-count experiments are unchanged by the retry layer.
   stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Counter::kPageReads);
-  return ReadPageVerified(page_id, out);
-}
-
-Status DiskManager::ReadPagePrefetch(PageId page_id, char* out) {
-  if (page_id >= frontier()) {
-    return Status::OutOfRange("ReadPagePrefetch: page " +
-                              std::to_string(page_id) + " beyond frontier");
-  }
-  return ReadPageVerified(page_id, out);
-}
-
-void DiskManager::CountDeferredRead() {
-  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
-  obs::Count(obs::Counter::kPageReads);
-}
-
-Status DiskManager::ReadPageVerified(PageId page_id, char* out) {
   uint32_t expected = 0;
   bool have_crc = false;
   {

@@ -6,16 +6,12 @@
 namespace pbitree {
 
 Status ValidateIoBackendKind(const std::string& kind) {
-  std::string base = kind;
-  while (base.rfind("async-", 0) == 0) base = base.substr(6);
-  if (base == "file" || base == "mem") return Status::OK();
+  if (kind == "file" || kind == "mem") return Status::OK();
   return Status::InvalidArgument("unknown backend '" + kind +
-                                 "' (want file|mem|async-file|async-mem)");
+                                 "' (want file|mem)");
 }
 
-const char* IoBackendHelp() {
-  return "file|mem|async-file|async-mem";
-}
+const char* IoBackendHelp() { return "file|mem"; }
 
 Result<PageCodecKind> ParsePageCodecKind(const std::string& name) {
   if (name == PageCodecName(PageCodecKind::kRaw)) return PageCodecKind::kRaw;

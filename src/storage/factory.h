@@ -13,9 +13,8 @@ namespace pbitree {
 /// benches and MakeIoBackend itself agree on the accepted vocabulary
 /// and produce one error text.
 
-/// Validates an IoBackend kind string: "file", "mem", or either wrapped
-/// in any depth of "async-" (the submission-queue wrapper). The error
-/// is the single user-facing "unknown backend" message.
+/// Validates an IoBackend kind string: "file" or "mem". The error is
+/// the single user-facing "unknown backend" message.
 Status ValidateIoBackendKind(const std::string& kind);
 
 /// The --help vocabulary for --backend flags.

@@ -1,7 +1,5 @@
 #include "storage/heap_file.h"
 
-#include <algorithm>
-
 namespace pbitree {
 
 Result<HeapFile> HeapFile::Create(BufferManager* bm, PageCodecKind codec) {
@@ -182,15 +180,16 @@ Status HeapFile::RewriteRecordAt(BufferManager* bm, size_t page_index,
   return bm->UnpinPage(pid, /*dirty=*/true);
 }
 
-Status HeapFile::Appender::RetireTail() {
-  // The full page is final here: its successor link is set and no later
-  // append touches it, so with write-behind on it can start draining to
-  // disk while the fresh tail fills — the double buffer.
-  const PageId filled = tail_->page_id();
-  PBITREE_RETURN_IF_ERROR(bm_->UnpinPage(filled, /*dirty=*/true));
-  if (write_behind_) {
-    PBITREE_RETURN_IF_ERROR(bm_->FlushPageAsync(filled));
-  }
+Status HeapFile::Appender::ChainNewTail() {
+  PBITREE_ASSIGN_OR_RETURN(Page * np, bm_->NewPage());
+  SetNext(np, kInvalidPageId);
+  SetCount(np, 0);
+  SetNext(tail_, np->page_id());
+  PBITREE_RETURN_IF_ERROR(bm_->UnpinPage(tail_->page_id(), /*dirty=*/true));
+  tail_ = np;
+  file_->last_page_ = np->page_id();
+  file_->pages_.push_back(np->page_id());
+  ++file_->num_pages_;
   return Status::OK();
 }
 
@@ -223,15 +222,7 @@ Status HeapFile::Appender::AppendCodec(const ElementRecord& rec) {
   if (!sizer_.CanHold(rec)) {
     // Tail is full for this codec: encode it, chain a fresh page.
     PBITREE_RETURN_IF_ERROR(EncodeTail());
-    PBITREE_ASSIGN_OR_RETURN(Page * np, bm_->NewPage());
-    SetNext(np, kInvalidPageId);
-    SetCount(np, 0);
-    SetNext(tail_, np->page_id());
-    PBITREE_RETURN_IF_ERROR(RetireTail());
-    tail_ = np;
-    file_->last_page_ = np->page_id();
-    file_->pages_.push_back(np->page_id());
-    ++file_->num_pages_;
+    PBITREE_RETURN_IF_ERROR(ChainNewTail());
     staged_.clear();
     sizer_.Reset();
   }
@@ -252,15 +243,7 @@ Status HeapFile::Appender::Append(const void* record) {
   uint16_t count = GetCount(tail_);
   if (count >= kRecordsPerPage) {
     // Tail is full: chain a fresh page.
-    PBITREE_ASSIGN_OR_RETURN(Page * np, bm_->NewPage());
-    SetNext(np, kInvalidPageId);
-    SetCount(np, 0);
-    SetNext(tail_, np->page_id());
-    PBITREE_RETURN_IF_ERROR(RetireTail());
-    tail_ = np;
-    file_->last_page_ = np->page_id();
-    file_->pages_.push_back(np->page_id());
-    ++file_->num_pages_;
+    PBITREE_RETURN_IF_ERROR(ChainNewTail());
     count = 0;
   }
   std::memcpy(RecordAt(tail_, count), record, kRecordSize);
@@ -285,15 +268,7 @@ Status HeapFile::Appender::AppendBatch(const void* records, size_t n) {
     }
     uint16_t count = GetCount(tail_);
     if (count >= kRecordsPerPage) {
-      PBITREE_ASSIGN_OR_RETURN(Page * np, bm_->NewPage());
-      SetNext(np, kInvalidPageId);
-      SetCount(np, 0);
-      SetNext(tail_, np->page_id());
-      PBITREE_RETURN_IF_ERROR(RetireTail());
-      tail_ = np;
-      file_->last_page_ = np->page_id();
-      file_->pages_.push_back(np->page_id());
-      ++file_->num_pages_;
+      PBITREE_RETURN_IF_ERROR(ChainNewTail());
       count = 0;
     }
     const size_t room = kRecordsPerPage - count;
@@ -320,33 +295,6 @@ Status HeapFile::Appender::Finish() {
   return status_;
 }
 
-void HeapFile::Scanner::IssueReadahead() {
-  // The page about to be fetched sits at directory index
-  // fetched_pages_; keep the readahead_pages() entries after it in
-  // flight. If the chain disagrees with the snapshot (the file changed
-  // under the scan), stop prefetching rather than pull wrong pages.
-  if (fetched_pages_ >= ra_pages_.size() ||
-      ra_pages_[fetched_pages_] != next_page_) {
-    ra_pages_.clear();
-    return;
-  }
-  const size_t window = bm_->readahead_pages();
-  const size_t limit =
-      std::min(ra_pages_.size(), fetched_pages_ + 1 + window);
-  if (ra_next_ < fetched_pages_ + 1) ra_next_ = fetched_pages_ + 1;
-  while (ra_next_ < limit) {
-    const PageId pid = ra_pages_[ra_next_];
-    const PrefetchResult r = bm_->StartPrefetch(pid);
-    if (r == PrefetchResult::kNoFrame) return;  // pressed; retry next fill
-    if (r == PrefetchResult::kDisabled) {
-      ra_pages_.clear();
-      return;
-    }
-    if (r == PrefetchResult::kStarted) ra_outstanding_.insert(pid);
-    ++ra_next_;  // kStarted or kAlreadyPresent: this page is covered
-  }
-}
-
 size_t HeapFile::Scanner::FillPage() {
   while (true) {
     if (cur_ != nullptr) {
@@ -356,10 +304,7 @@ size_t HeapFile::Scanner::FillPage() {
       cur_ = nullptr;
     }
     if (!status_.ok() || next_page_ == kInvalidPageId) return 0;
-    if (!ra_pages_.empty()) IssueReadahead();
     auto res = bm_->FetchPage(next_page_);
-    ra_outstanding_.erase(next_page_);  // consumed (even on error)
-    ++fetched_pages_;
     if (!res.ok()) {
       status_ = res.status();
       return 0;
@@ -403,11 +348,6 @@ void HeapFile::Scanner::Close() {
     bm_->UnpinPage(cur_->page_id(), false);
     cur_ = nullptr;
   }
-  // An early-exit scan abandons its in-flight prefetches: cancel them
-  // so no reserved frame (or uncounted resident page) outlives the
-  // scan.
-  for (PageId pid : ra_outstanding_) bm_->CancelPrefetch(pid);
-  ra_outstanding_.clear();
   next_page_ = kInvalidPageId;
 }
 

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "storage/async_io.h"
 #include "storage/factory.h"
 
 namespace pbitree {
@@ -338,24 +337,12 @@ StatusOr<std::unique_ptr<IoBackend>> MakeIoBackend(const std::string& kind,
   if (kind == "mem") {
     return std::unique_ptr<IoBackend>(new MemIoBackend());
   }
-  if (kind == "file") {
-    if (path.empty()) {
-      return Status::InvalidArgument("file backend requires a path");
-    }
-    return FileIoBackend::Open(path, /*truncate=*/false,
-                               /*unlink_on_close=*/false);
+  // ValidateIoBackendKind leaves "file" as the only other kind.
+  if (path.empty()) {
+    return Status::InvalidArgument("file backend requires a path");
   }
-  // "async-<kind>" wraps the inner kind in an AsyncIoBackend submission
-  // queue; same persistence semantics as the inner kind.
-  if (kind.rfind("async-", 0) == 0) {
-    auto inner = MakeIoBackend(kind.substr(6), path);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<IoBackend>(
-        new AsyncIoBackend(std::move(inner).value(), /*workers=*/2));
-  }
-  // Unreachable: ValidateIoBackendKind vets the vocabulary up front.
-  return Status::InvalidArgument("unknown backend '" + kind +
-                                 "' (want file|mem|async-file|async-mem)");
+  return FileIoBackend::Open(path, /*truncate=*/false,
+                             /*unlink_on_close=*/false);
 }
 
 }  // namespace pbitree

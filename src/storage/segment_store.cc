@@ -10,10 +10,6 @@ namespace pbitree {
 
 namespace {
 
-bool IsPersistentKind(const std::string& kind) {
-  return kind == "file" || kind == "async-file";
-}
-
 std::string SegmentPath(const std::string& path, size_t k) {
   return path + ".seg" + std::to_string(k);
 }
@@ -29,7 +25,7 @@ StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Open(
       return MakeIoBackend(kind, path);
     };
   }
-  const bool restore_frontier = IsPersistentKind(opts.backend);
+  const bool restore_frontier = opts.backend == "file";
 
   auto store = std::unique_ptr<SegmentStore>(new SegmentStore());
   store->page_codec_ = opts.page_codec;

@@ -48,7 +48,7 @@ class SegmentStore {
 
   struct Options {
     /// IoBackend kind for the main and every segment file
-    /// ("mem", "file", "async-mem", "async-file").
+    /// ("mem" or "file").
     std::string backend = "mem";
     /// Main database path; segment k lives at `path + ".seg<k>"`.
     /// Ignored by the mem backends.

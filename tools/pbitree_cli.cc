@@ -12,8 +12,7 @@
 //                                        (epoch-bumping durable commit)
 //
 // Run `pbitree_cli <command> --help` for per-command options. Global
-// flags: `--backend=file|mem|async-file|async-mem` selects the storage
-// backend through the
+// flags: `--backend=file|mem` selects the storage backend through the
 // IoBackend factory (file — the default — persists at <db>; mem runs
 // the same commands against a volatile in-memory store, useful for
 // benchmarking the algorithms without touching disk). `--metrics`
@@ -30,6 +29,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -63,25 +63,17 @@ constexpr size_t kPoolPages = 1024;
 
 /// Flags shared by every subcommand.
 struct GlobalOptions {
-  std::string backend = "file";  // IoBackend factory kinds (file | mem |
-                                 // async-file | async-mem)
+  std::string backend = "file";  // IoBackend factory kinds (file | mem)
   std::string server;            // host:port — route to pbitree_serverd
   std::string alg = "auto";      // server mode: algorithm to request
-  int readahead = -1;  // scan readahead pages; -1 = pool default
-  int segments = -1;   // encode: code-space sharding level l (2^l segment
-                       // files); -1/0 = unsegmented single-file layout
-  int simd = -1;       // query: -1 = process default, 0 = scalar, 1 = AVX2
+  int segments = -1;  // encode: code-space sharding level l (2^l segment
+                      // files); -1/0 = unsegmented single-file layout
+  int simd = -1;      // query: -1 = process default, 0 = scalar, 1 = AVX2
   std::string page_codec_name;  // encode: raw string from --page-codec
   std::optional<PageCodecKind> page_codec;  // parsed; nullopt = ambient
   bool metrics = false;
   bool help = false;
 };
-
-/// Whether `kind` persists to a file on disk (the async decorator keeps
-/// the inner kind's persistence semantics).
-bool IsPersistentBackend(const std::string& kind) {
-  return kind == "file" || kind == "async-file";
-}
 
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
@@ -104,7 +96,7 @@ StatusOr<DiskManager*> OpenDb(const GlobalOptions& g,
       DiskManager * disk,
       DiskManager::OpenWithBackend(
           std::move(*backend),
-          /*restore_frontier=*/IsPersistentBackend(g.backend)));
+          /*restore_frontier=*/g.backend == "file"));
   // Replay a mutable database's commit log before anything caches a
   // page (no-op on fresh or log-free databases).
   if (Status st = ElementSetStore::Recover(disk); !st.ok()) {
@@ -346,9 +338,6 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
 
   RunOptions opts;
   opts.work_pages = kPoolPages / 2;
-  if (g.readahead >= 0) {
-    opts.readahead_pages = static_cast<size_t>(g.readahead);
-  }
   if (g.simd >= 0) opts.simd = g.simd != 0;
   // The evaluator owns and drops every provider-returned set, so the
   // provider must never hand out the stored files themselves — a freed
@@ -399,11 +388,15 @@ int CmdQuery(const GlobalOptions& g, const std::vector<std::string>& args) {
   return 0;
 }
 
+/// Decimal digits only: strtoull alone would accept leading blanks and
+/// a sign ("-1" wraps to UINT64_MAX) and clamp an overflow to
+/// UINT64_MAX, reporting it only through errno.
 bool ParseU64Arg(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
+  errno = 0;
   unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
   *out = v;
   return true;
 }
@@ -541,10 +534,7 @@ std::string CommonOptions() {
   return std::string("  --backend=KIND      storage backend: ") +
          IoBackendHelp() +
          "\n"
-         "                      (default file; mem is volatile; async-* routes\n"
-         "                      transfers through a worker-thread queue)\n"
-         "  --readahead N       scan readahead window in pages (default: the\n"
-         "                      pool's PBITREE_READAHEAD_PAGES; 0 = synchronous)\n"
+         "                      (default file; mem is volatile)\n"
          "  --help              show this help\n";
 }
 
@@ -617,20 +607,22 @@ int main(int argc, char** argv) {
       g.metrics = true;
       continue;
     }
-    if (std::strcmp(arg, "--readahead") == 0 && i + 1 < argc) {
-      g.readahead = static_cast<int>(std::atol(argv[++i]));
-      continue;
-    }
-    if (std::strncmp(arg, "--readahead=", 12) == 0) {
-      g.readahead = static_cast<int>(std::atol(arg + 12));
-      continue;
-    }
+    const char* segments = nullptr;
     if (std::strcmp(arg, "--segments") == 0 && i + 1 < argc) {
-      g.segments = static_cast<int>(std::atol(argv[++i]));
-      continue;
+      segments = argv[++i];
+    } else if (std::strncmp(arg, "--segments=", 11) == 0) {
+      segments = arg + 11;
     }
-    if (std::strncmp(arg, "--segments=", 11) == 0) {
-      g.segments = static_cast<int>(std::atol(arg + 11));
+    if (segments != nullptr) {
+      uint64_t level = 0;
+      if (!ParseU64Arg(segments, &level) ||
+          level > static_cast<uint64_t>(SegmentStore::kMaxSegmentLevel)) {
+        const std::string msg =
+            "--segments takes a level 0.." +
+            std::to_string(SegmentStore::kMaxSegmentLevel);
+        return Usage(msg.c_str());
+      }
+      g.segments = static_cast<int>(level);
       continue;
     }
     if (std::strcmp(arg, "--backend") == 0 && i + 1 < argc) {
@@ -665,14 +657,22 @@ int main(int argc, char** argv) {
       g.page_codec_name = arg + 13;
       continue;
     }
+    const char* simd = nullptr;
     if (std::strcmp(arg, "--simd") == 0 && i + 1 < argc) {
-      const char* v = argv[++i];
-      g.simd = (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) ? 0 : 1;
-      continue;
+      simd = argv[++i];
+    } else if (std::strncmp(arg, "--simd=", 7) == 0) {
+      simd = arg + 7;
     }
-    if (std::strncmp(arg, "--simd=", 7) == 0) {
-      const char* v = arg + 7;
-      g.simd = (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) ? 0 : 1;
+    if (simd != nullptr) {
+      // The daemon's simd= vocabulary.
+      if (std::strcmp(simd, "on") == 0 || std::strcmp(simd, "1") == 0) {
+        g.simd = 1;
+      } else if (std::strcmp(simd, "off") == 0 ||
+                 std::strcmp(simd, "0") == 0) {
+        g.simd = 0;
+      } else {
+        return Usage("--simd takes on|off");
+      }
       continue;
     }
     if (std::strncmp(arg, "--", 2) == 0) {

@@ -1,6 +1,6 @@
 // pbitree_serverd — the long-lived query service daemon.
 //
-//   pbitree_serverd <db> [--backend=file|mem|async-file|async-mem]
+//   pbitree_serverd <db> [--backend=file|mem]
 //
 // Loads the catalog once, keeps the buffer pool and element-set
 // handles warm, and serves containment joins to concurrent clients
@@ -20,10 +20,6 @@
 //   PBITREE_SERVE_POOL_PAGES     buffer-pool frames        (default 1024)
 //   PBITREE_RESULT_CACHE         query-result cache on/off (default 1)
 //   PBITREE_RESULT_CACHE_BYTES   result-cache byte budget  (default 64 MiB)
-//   PBITREE_READAHEAD_PAGES      scan readahead window in pages; 0 —
-//                                 the default — is synchronous I/O
-//                                 (picked up by the buffer pool; see
-//                                 storage/buffer_manager.h)
 //
 // SIGINT/SIGTERM drain gracefully: stop accepting, cancel queued
 // admissions, finish in-flight queries and flush their sinks, then
@@ -60,7 +56,7 @@ int main(int argc, char** argv) {
     if (arg.rfind("--backend=", 0) == 0) {
       backend = arg.substr(10);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s <db> [--backend=file|mem|async-file|async-mem]\n", argv[0]);
+      std::printf("usage: %s <db> [--backend=file|mem]\n", argv[0]);
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
@@ -68,12 +64,12 @@ int main(int argc, char** argv) {
     } else if (db_path.empty()) {
       db_path = arg;
     } else {
-      std::fprintf(stderr, "usage: %s <db> [--backend=file|mem|async-file|async-mem]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s <db> [--backend=file|mem]\n", argv[0]);
       return 2;
     }
   }
   if (db_path.empty()) {
-    std::fprintf(stderr, "usage: %s <db> [--backend=file|mem|async-file|async-mem]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <db> [--backend=file|mem]\n", argv[0]);
     return 2;
   }
 
